@@ -18,11 +18,34 @@ replica (same artifact generation ⇒ bit-equal floats), the merged
 ranking is byte-identical to what one replica scoring every term would
 have returned — the property test in ``tests/test_fleet.py`` proves it
 for arbitrary queries.
+
+**Each leg ships only its own top.**  A leg does not send its whole
+per-user pool: it keeps the entries with ``score >= threshold`` and
+returns at most ``K = max_results`` of them in ``(-score, user_id)``
+order (:func:`~repro.serving.service.top_partial_entries`).  This loses
+nothing the answer needs:
+
+* Take a user ``u`` in the merged top K, with overall best score ``s``,
+  and any leg ``L`` where ``u`` scores ``s``.  A user ``v`` ranked above
+  ``u`` on ``L`` scores more than ``s`` there, or ``s`` with a smaller
+  user id; ``v``'s overall score is at least its score on ``L``, so
+  ``v`` also ranks above ``u`` overall.  Fewer than K users rank above
+  ``u`` overall, so fewer than K rank above it on ``L``, and ``s``
+  passes the threshold: ``L``'s cut keeps ``u``.
+* That holds on *every* leg where ``u`` ties for its best score, so the
+  merge still sees all of ``u``'s best entries and the lowest-index
+  tie-break picks the same one as the single-replica union.
+* A user the merge sees may be missing its best leg, but then it is
+  seen with a score no higher than its true one, which only moves it
+  down: it cannot push a true top-K user out.
+
+The merge keeps its own threshold and cap, so the answer stays exact
+even when a peer sends an uncut pool.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.detector.ranking import RankedExpert
 from repro.fleet.errors import (
@@ -30,7 +53,7 @@ from repro.fleet.errors import (
     FleetTenantMismatchError,
     FleetVersionSkewError,
 )
-from repro.serving.service import PartialPool
+from repro.serving.service import PartialPool, top_partial_entries
 
 # analysis: exact-path
 
@@ -73,9 +96,7 @@ def merge_partials(
                 )
             ):
                 best[expert.user_id] = (index, expert)
-    ranked: List[RankedExpert] = sorted(
-        (entry[1] for entry in best.values()),
-        key=lambda e: (-e.score, e.user_id),
+    kept = top_partial_entries(
+        best.values(), threshold=threshold, max_results=max_results
     )
-    kept = [expert for expert in ranked if expert.score >= threshold]
-    return tuple(kept[:max_results]), versions[0]
+    return tuple(expert for _index, expert in kept), versions[0]

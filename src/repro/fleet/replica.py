@@ -143,6 +143,7 @@ class InProcessReplica:
         self,
         query: str,
         indexed_terms: Iterable[Tuple[int, str]],
+        min_zscore: Optional[float] = None,
         *,
         budget_seconds: Optional[float] = None,
         tenant: str = DEFAULT_TENANT,
@@ -150,11 +151,15 @@ class InProcessReplica:
         fire("replica.call", replica=self.name, op="partial", tenant=tenant)
         if self._multi:
             return self.service.score_partial(
-                tenant, query, indexed_terms, budget_seconds=budget_seconds
+                tenant,
+                query,
+                indexed_terms,
+                min_zscore,
+                budget_seconds=budget_seconds,
             )
         self._check_tenant(tenant)
         return self.service.score_partial(
-            query, indexed_terms, budget_seconds=budget_seconds
+            query, indexed_terms, min_zscore, budget_seconds=budget_seconds
         )
 
     def health(self) -> ReplicaHealthReport:
@@ -350,6 +355,7 @@ class SubprocessReplica:
         self,
         query: str,
         indexed_terms: Iterable[Tuple[int, str]],
+        min_zscore: Optional[float] = None,
         *,
         budget_seconds: Optional[float] = None,
         tenant: str = DEFAULT_TENANT,
@@ -357,6 +363,7 @@ class SubprocessReplica:
         payload = {
             "query": query,
             "terms": [[int(i), str(t)] for i, t in indexed_terms],
+            "min_zscore": min_zscore,
             "tenant": tenant,
         }
         if budget_seconds is not None:

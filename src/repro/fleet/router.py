@@ -11,9 +11,11 @@ or ``fleet-worker`` subprocesses — one shard each), a deterministic
    for matched queries under domain-partition sharding, and for any
    single-term query), the whole query goes to that shard's replica —
    its result cache serves repeats.  Otherwise the terms **scatter** as
-   ``score_partial`` legs to their owning shards and the partial pools
-   **gather** through :func:`~repro.fleet.merge.merge_partials`, which
-   reproduces the single-replica ranking exactly.
+   ``score_partial`` legs to their owning shards — each leg cut to the
+   entries at or above the threshold, at most ``max_results`` of them —
+   and the partial pools **gather** through
+   :func:`~repro.fleet.merge.merge_partials`, which reproduces the
+   single-replica ranking exactly.
 3. **Hedge.** Every replica call races a latency-percentile deadline
    (per replica, from the tracker); past it, a backup fires on the
    next-healthiest replica — any replica can serve any leg because all
@@ -634,7 +636,11 @@ class FleetRouter:
         )
         detection_started = time.perf_counter()
         ordered = sorted(legs.items())
-        results, errors = self._scatter(query, ordered, deadline, tenant)
+        # legs cut at the router's resolved threshold, the one the merge
+        # applies, so a replica default can never disagree with it
+        results, errors = self._scatter(
+            query, ordered, threshold, deadline, tenant
+        )
         outcomes = [outcome for outcome in results if outcome is not None]
         failures = [exc for exc in errors if exc is not None]
         served_shards = [
@@ -738,6 +744,7 @@ class FleetRouter:
         self,
         query: str,
         indexed,
+        min_zscore: Optional[float],
         deadline: _Deadline,
         tenant: str = DEFAULT_TENANT,
     ) -> Callable:
@@ -748,7 +755,7 @@ class FleetRouter:
                 replica, "supports_budget", False
             ):
                 kwargs["budget_seconds"] = max(0.0, budget)
-            return replica.score_partial(query, indexed, **kwargs)
+            return replica.score_partial(query, indexed, min_zscore, **kwargs)
 
         return call
 
@@ -756,6 +763,7 @@ class FleetRouter:
         self,
         query: str,
         ordered: List[Tuple[int, List[Tuple[int, str]]]],
+        min_zscore: Optional[float],
         deadline: _Deadline,
         tenant: str = DEFAULT_TENANT,
     ) -> Tuple[
@@ -778,7 +786,9 @@ class FleetRouter:
             try:
                 results[position] = self._call_hedged(
                     shard,
-                    self._partial_call(query, indexed, deadline, tenant),
+                    self._partial_call(
+                        query, indexed, min_zscore, deadline, tenant
+                    ),
                     deadline,
                 )
             except BaseException as exc:  # noqa: BLE001 - surfaced below

@@ -148,6 +148,7 @@ _TYPED_ERRORS = {
     "ServiceClosedError": ServiceClosedError,
     "StaleSnapshotError": StaleSnapshotError,
     "DeadlineExceededError": DeadlineExceededError,
+    "WorkerProtocolError": WorkerProtocolError,
 }
 
 

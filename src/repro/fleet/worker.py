@@ -27,6 +27,7 @@ The classic single-artifact path is untouched — frames without a
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 import time
@@ -53,6 +54,47 @@ from repro.serving.service import (
 #: request threads per worker — enough for overlapping scatter legs plus
 #: a health probe; the service's own admission control bounds real work
 WORKER_THREADS = 4
+
+
+def _query_field(message: dict) -> str:
+    query = message.get("query")
+    if not isinstance(query, str):
+        raise WorkerProtocolError(f"query must be a string, got {query!r}")
+    return query
+
+
+def _number_field(message: dict, field: str) -> Optional[float]:
+    """An optional numeric field: absent or ``null`` is ``None``; anything
+    but a finite number is a protocol error, not a bare ``TypeError``."""
+    value = message.get(field)
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise WorkerProtocolError(
+            f"{field} must be a finite number, got {value!r}"
+        )
+    return value
+
+
+def _terms_field(message: dict) -> list:
+    """A leg's ``terms``: a list of ``[global index, term]`` pairs."""
+    terms = message.get("terms")
+    if not isinstance(terms, list) or not all(
+        isinstance(pair, list)
+        and len(pair) == 2
+        and isinstance(pair[0], int)
+        and not isinstance(pair[0], bool)
+        and isinstance(pair[1], str)
+        for pair in terms
+    ):
+        raise WorkerProtocolError(
+            f"terms must be a list of [int, str] pairs, got {terms!r}"
+        )
+    return [(index, term) for index, term in terms]
 
 
 class FleetWorker:
@@ -150,10 +192,9 @@ class FleetWorker:
     ) -> Optional[float]:
         """The request's surviving budget after its queue wait, typed-fatal
         when the wait already spent it."""
-        budget = message.get("budget")
+        budget = _number_field(message, "budget")
         if budget is None:
             return None
-        budget = float(budget)
         queued = (
             0.0
             if received_at is None
@@ -185,33 +226,32 @@ class FleetWorker:
         if op == "ping":
             return "pong"
         if op == "query":
+            query = _query_field(message)
+            min_zscore = _number_field(message, "min_zscore")
             budget = self._budget_remaining(message, received_at)
             if self._multi:
                 answer = self.service.query(
-                    tenant,
-                    message["query"],
-                    message.get("min_zscore"),
-                    budget_seconds=budget,
+                    tenant, query, min_zscore, budget_seconds=budget
                 )
             else:
                 self._check_tenant(tenant)
                 answer = self.service.query(
-                    message["query"],
-                    message.get("min_zscore"),
-                    budget_seconds=budget,
+                    query, min_zscore, budget_seconds=budget
                 )
             return answer_to_wire(answer)
         if op == "partial":
+            query = _query_field(message)
+            terms = _terms_field(message)
+            min_zscore = _number_field(message, "min_zscore")
             budget = self._budget_remaining(message, received_at)
-            terms = [(index, term) for index, term in message["terms"]]
             if self._multi:
                 pool = self.service.score_partial(
-                    tenant, message["query"], terms, budget_seconds=budget
+                    tenant, query, terms, min_zscore, budget_seconds=budget
                 )
             else:
                 self._check_tenant(tenant)
                 pool = self.service.score_partial(
-                    message["query"], terms, budget_seconds=budget
+                    query, terms, min_zscore, budget_seconds=budget
                 )
             return partial_to_wire(pool)
         if op == "health":

@@ -109,24 +109,50 @@ class ServedAnswer:
 
 @dataclass(frozen=True)
 class PartialPool:
-    """A shard-scoped partial answer: best-per-user over a subset of terms.
+    """A shard-scoped partial answer: the top of a subset of terms.
 
     The fleet router scatters an expanded query's terms across replica
     shards; each shard reduces its terms to one ``(term index, expert)``
     entry per candidate user — the entry with the highest score, ties
     broken towards the **lowest global term index** (the same
-    first-term-wins rule the single-replica union applies).  Merging
-    shard pools under the identical rule therefore reproduces the
-    single-replica ranking exactly.
+    first-term-wins rule the single-replica union applies) — and then
+    cuts that pool to what the answer can use: the entries scoring at or
+    above the query's threshold, best first in ``(-score, user_id)``
+    order, at most ``max_results`` of them (:func:`top_partial_entries`).
+
+    The cut is exact: a user in the merged top ``max_results`` ranks
+    above fewer than ``max_results`` users on the shard where they reach
+    their best score, so that shard keeps them (the argument in full is
+    in :mod:`repro.fleet.merge`).  Merging shard pools under the
+    first-term-wins rule therefore reproduces the single-replica ranking
+    exactly.
     """
 
     query: str
     snapshot_version: int
-    #: ``(global term index, expert)`` per candidate user, user-id order
+    #: ``(global term index, expert)`` per kept user, rank order
     entries: Tuple[Tuple[int, RankedExpert], ...]
     #: which tenant's shard produced this pool — the merge refuses to
     #: combine pools across tenants
     tenant: str = DEFAULT_TENANT
+
+
+def top_partial_entries(
+    entries: Iterable[Tuple[int, RankedExpert]],
+    *,
+    threshold: float,
+    max_results: int,
+) -> Tuple[Tuple[int, RankedExpert], ...]:
+    """The entries an answer can use: ``score >= threshold``, best first.
+
+    Sorted by ``(-score, user_id)`` — the serving path's ranking order —
+    and capped at ``max_results``.  Each scatter leg cuts its per-user
+    pool with this before it crosses the wire, and
+    :func:`~repro.fleet.merge.merge_partials` ends with the same cut.
+    """
+    kept = [entry for entry in entries if entry[1].score >= threshold]
+    kept.sort(key=lambda entry: (-entry[1].score, entry[1].user_id))
+    return tuple(kept[:max_results])
 
 
 @dataclass(frozen=True)
@@ -477,6 +503,7 @@ class ExpertService:
         self,
         query: str,
         indexed_terms: "Iterable[Tuple[int, str]]",
+        min_zscore: float | None = None,
         *,
         budget_seconds: float | None = None,
     ) -> PartialPool:
@@ -486,13 +513,17 @@ class ExpertService:
         full expansion, so the per-user reduction can apply the exact
         tie-break of the single-replica union (highest score wins, equal
         scores go to the earliest term) even though this replica sees
-        only its shard's slice.  The fleet router merges shard pools
-        under the same rule and gets a byte-identical ranking.
+        only its shard's slice.  The reduced pool is then cut to the
+        entries with ``score >= min_zscore`` (``None`` means the
+        snapshot's default, as in :meth:`query`), at most
+        ``max_results`` of them in ``(-score, user_id)`` order.  The
+        fleet router merges shard pools under the same rule and gets a
+        byte-identical ranking.
 
         Passes through admission control like :meth:`query` (a scatter
         leg is real detection work), pins one snapshot, shards per-term
-        scoring across the detection pool, and caches the reduced pool
-        under ``(tenant, version, 'partial', terms)`` — hedged
+        scoring across the detection pool, and caches the cut pool under
+        ``(tenant, version, 'partial', threshold, terms)`` — hedged
         duplicates of the same scatter leg coalesce via single-flight
         exactly like whole queries do.
 
@@ -509,7 +540,14 @@ class ExpertService:
         with self._slot():
             self._check_budget(budget_seconds, started)
             snapshot = self._require_snapshot()
-            key = (self.tenant, snapshot.version, "partial", indexed)
+            threshold = (
+                min_zscore
+                if min_zscore is not None
+                else snapshot.detector.ranking.min_zscore
+            )
+            key = (
+                self.tenant, snapshot.version, "partial", threshold, indexed
+            )
             cached = self._cache.get(key)
             with self._counter_lock:
                 self._partials += 1
@@ -520,7 +558,9 @@ class ExpertService:
                 return cached
 
             def compute() -> PartialPool:
-                return self._compute_partial(snapshot, query, indexed)
+                return self._compute_partial(
+                    snapshot, query, indexed, threshold
+                )
 
             if self._flight is not None:
                 pool, leader = self._flight.do(key, compute)
@@ -535,6 +575,7 @@ class ExpertService:
         snapshot: ServiceSnapshot,
         query: str,
         indexed: Tuple[Tuple[int, str], ...],
+        threshold: float,
     ) -> PartialPool:
         pools = self._term_scorer(snapshot)([term for _, term in indexed])
         best: dict[int, Tuple[int, RankedExpert]] = {}
@@ -546,13 +587,14 @@ class ExpertService:
                 # order — the same first-term-wins rule as score_terms
                 if incumbent is None or expert.score > incumbent[1].score:
                     best[expert.user_id] = (index, expert)
-        entries = tuple(
-            sorted(best.values(), key=lambda entry: entry[1].user_id)
-        )
         return PartialPool(
             query=query,
             snapshot_version=snapshot.version,
-            entries=entries,
+            entries=top_partial_entries(
+                best.values(),
+                threshold=threshold,
+                max_results=snapshot.detector.ranking.max_results,
+            ),
             tenant=self.tenant,
         )
 

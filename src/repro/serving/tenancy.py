@@ -382,6 +382,7 @@ class MultiTenantService:
         tenant: str,
         query: str,
         indexed_terms,
+        min_zscore: float | None = None,
         *,
         budget_seconds: float | None = None,
     ) -> PartialPool:
@@ -390,7 +391,7 @@ class MultiTenantService:
         resident = self._registry.acquire(tenant)
         try:
             return resident.service.score_partial(
-                query, indexed_terms, budget_seconds=budget_seconds
+                query, indexed_terms, min_zscore, budget_seconds=budget_seconds
             )
         finally:
             self._registry.release(resident)

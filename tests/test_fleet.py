@@ -12,8 +12,11 @@ round-trip proving the wire format preserves it across processes.
 
 from __future__ import annotations
 
+import json
+import math
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,10 +38,12 @@ from repro.fleet import (
     ReplicaTracker,
     SubprocessReplica,
     TokenHashSharding,
+    WorkerProtocolError,
     merge_partials,
     stable_hash,
 )
 from repro.fleet import wire
+from repro.fleet.worker import FleetWorker
 from repro.serving.admission import AdmissionController
 from repro.serving.service import (
     ExpertService,
@@ -46,6 +51,7 @@ from repro.serving.service import (
     ReplicaHealthReport,
     ServedAnswer,
     ServiceConfig,
+    top_partial_entries,
 )
 from repro.serving.snapshot import SnapshotHolder, StaleSnapshotError
 from repro.utils.text import phrase_key
@@ -248,6 +254,93 @@ class TestMergePartials:
             )
 
 
+# -- the leg-side cut ---------------------------------------------------------
+
+#: a handful of scores, so equal scores on different legs and scores
+#: exactly at the threshold are common rather than lucky
+SCORES = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+@st.composite
+def uncut_legs(draw):
+    """Legs as a scatter would build them before the cut: random terms
+    split over random legs (some legs empty), each term scoring random
+    users, reduced per user with the first-term-wins rule."""
+    n_terms = draw(st.integers(1, 8))
+    n_legs = draw(st.integers(1, 4))
+    owners = draw(
+        st.lists(
+            st.integers(0, n_legs - 1), min_size=n_terms, max_size=n_terms
+        )
+    )
+    term_pools = [
+        draw(st.dictionaries(st.integers(0, 20), SCORES, max_size=10))
+        for _ in range(n_terms)
+    ]
+    legs = []
+    for leg in range(n_legs):
+        best = {}
+        for index, scores in enumerate(term_pools):
+            if owners[index] != leg:
+                continue
+            for user, score in scores.items():
+                if user not in best or score > best[user][1].score:
+                    # the description names the term, so a wrong
+                    # tie-break shows up as an unequal expert
+                    expert = make_expert(user, score)._replace(
+                        description=f"term {index}"
+                    )
+                    best[user] = (index, expert)
+        # any order: a leg's reduction emits users in first-seen order
+        legs.append(pool(*draw(st.permutations(list(best.values())))))
+    return legs
+
+
+def cut(leg, threshold, max_results):
+    return replace(
+        leg,
+        entries=top_partial_entries(
+            leg.entries, threshold=threshold, max_results=max_results
+        ),
+    )
+
+
+class TestLegCut:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        legs=uncut_legs(),
+        threshold=SCORES,
+        max_results=st.integers(1, 15),
+    )
+    def test_cut_then_merge_equals_merge(self, legs, threshold, max_results):
+        cut_legs = [cut(leg, threshold, max_results) for leg in legs]
+        for leg in cut_legs:
+            assert len(leg.entries) <= max_results
+            assert all(e.score >= threshold for _, e in leg.entries)
+            assert list(leg.entries) == sorted(
+                leg.entries, key=lambda entry: (-entry[1].score, entry[1].user_id)
+            )
+        assert merge_partials(
+            cut_legs, threshold=threshold, max_results=max_results
+        ) == merge_partials(legs, threshold=threshold, max_results=max_results)
+
+    def test_cut_keeps_every_leg_where_a_user_ties_for_best(self):
+        # user 1 scores 3.0 on both legs (term 4 on the first, term 2 on
+        # the second); each leg ranks one user above it, fewer than
+        # K = 3, so both legs keep it and the merge still picks term 2
+        late = make_expert(1, 3.0)._replace(description="term 4")
+        early = make_expert(1, 3.0)._replace(description="term 2")
+        legs = [
+            pool((0, make_expert(9, 5.0)), (4, late)),
+            pool((1, make_expert(8, 4.0)), (2, early)),
+        ]
+        cut_legs = [cut(leg, 1.0, 3) for leg in legs]
+        assert [len(leg.entries) for leg in cut_legs] == [2, 2]
+        experts, _ = merge_partials(cut_legs, threshold=1.0, max_results=3)
+        assert [e.user_id for e in experts] == [9, 8, 1]
+        assert experts[2].description == "term 2"
+
+
 # -- scatter-gather == single replica (the headline property) -----------------
 
 
@@ -284,6 +377,64 @@ class TestScatterGatherEquivalence:
         assert answer_key(hash_fleet.query(query, min_zscore=0.1)) == (
             answer_key(single_service.query(query, min_zscore=0.1))
         )
+
+    def test_legs_are_cut_at_the_resolved_threshold(
+        self, hash_fleet, single_service, system, queries, monkeypatch
+    ):
+        seen = []
+        for replica in hash_fleet.replicas:
+            monkeypatch.setattr(
+                replica, "score_partial", recording(replica.score_partial, seen)
+            )
+        default = system.detector.ranking.min_zscore
+        cap = system.detector.ranking.max_results
+        for min_zscore in (None, 0.1, 1e9):
+            seen.clear()
+            for query in queries:
+                assert answer_key(hash_fleet.query(query, min_zscore)) == (
+                    answer_key(single_service.query(query, min_zscore))
+                )
+            assert seen, "no query scattered"
+            threshold = default if min_zscore is None else min_zscore
+            for sent, leg in seen:
+                assert sent == threshold  # the router resolves the default
+                assert len(leg.entries) <= cap
+                assert all(e.score >= threshold for _, e in leg.entries)
+
+
+def recording(score_partial, seen):
+    """Wrap a replica's ``score_partial``, keeping each leg's threshold and
+    returned pool."""
+
+    def call(query, indexed_terms, min_zscore=None, **kwargs):
+        leg = score_partial(query, indexed_terms, min_zscore, **kwargs)
+        seen.append((min_zscore, leg))
+        return leg
+
+    return call
+
+
+class TestServicePartial:
+    def test_partial_is_the_top_of_the_pool_in_rank_order(
+        self, single_service, system, queries
+    ):
+        ranking = system.detector.ranking
+        indexed = list(enumerate(queries[:4]))
+        leg = single_service.score_partial(queries[0], indexed, -1e9)
+        assert 0 < len(leg.entries) <= ranking.max_results
+        assert list(leg.entries) == sorted(
+            leg.entries, key=lambda entry: (-entry[1].score, entry[1].user_id)
+        )
+        default = single_service.score_partial(queries[0], indexed)
+        assert all(e.score >= ranking.min_zscore for _, e in default.entries)
+        assert list(default.entries) == [
+            entry for entry in leg.entries if entry[1].score >= ranking.min_zscore
+        ]
+
+    def test_partial_cache_is_keyed_by_threshold(self, single_service, queries):
+        indexed = [(0, queries[1]), (2, queries[2])]
+        assert single_service.score_partial(queries[1], indexed, -1e9).entries
+        assert single_service.score_partial(queries[1], indexed, 1e9).entries == ()
 
 
 # -- hedging and failover -----------------------------------------------------
@@ -323,7 +474,7 @@ class ScriptedReplica:
     def query(self, query, min_zscore=None):
         return self._answer(query)
 
-    def score_partial(self, query, indexed_terms):
+    def score_partial(self, query, indexed_terms, min_zscore=None):
         answer = self._answer(query)
         return PartialPool(
             query=query, snapshot_version=answer.snapshot_version, entries=()
@@ -597,6 +748,10 @@ class TestWire:
             )
         )
         assert isinstance(overloaded, ServiceOverloadedError)
+        protocol = wire.error_from_wire(
+            wire.error_to_wire(WorkerProtocolError("bad frame"))
+        )
+        assert isinstance(protocol, WorkerProtocolError)
         unknown = wire.error_from_wire({"type": "WeirdError", "message": "?"})
         from repro.fleet import RemoteReplicaError
 
@@ -645,6 +800,112 @@ class TestSubprocessReplica:
         report = worker.health()
         assert report.snapshot_version == 1
         assert report.requests >= 1
+
+    @pytest.fixture(scope="class")
+    def process_fleet(self, artifact_dir):
+        replicas = [
+            SubprocessReplica(f"leg-{i}", artifact_dir, detection_workers=1)
+            for i in range(2)
+        ]
+        router = FleetRouter.from_artifact(
+            artifact_dir, replicas, sharding="hash"
+        )
+        yield router
+        router.close()
+
+    def test_cut_legs_match_in_process_byte_for_byte(
+        self, process_fleet, single_service, system, queries, monkeypatch
+    ):
+        seen = []
+        for replica in process_fleet.replicas:
+            monkeypatch.setattr(
+                replica, "score_partial", recording(replica.score_partial, seen)
+            )
+        cap = system.detector.ranking.max_results
+        for min_zscore in (0.1, 1e9):
+            scattered = 0
+            for query in queries:
+                theirs = process_fleet.query(query, min_zscore)
+                ours = single_service.query(query, min_zscore)
+                scattered += theirs.mode == "scatter-gather"
+                assert answer_key(theirs) == answer_key(ours)
+                assert json.dumps(
+                    [wire.expert_to_wire(e) for e in theirs.experts]
+                ) == json.dumps([wire.expert_to_wire(e) for e in ours.experts])
+            assert scattered > 0
+        assert seen
+        assert all(len(leg.entries) <= cap for _, leg in seen)
+        assert not any(leg.entries for sent, leg in seen if sent == 1e9)
+
+
+# -- hostile frames at the worker ---------------------------------------------
+
+
+class UntouchableService:
+    """Stands in for the worker's service: a hostile frame must be
+    refused before it reaches it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"hostile frame reached service.{name}")
+
+
+class RecordingService:
+    def __init__(self):
+        self.calls = []
+
+    def score_partial(self, query, terms, min_zscore=None, **kwargs):
+        self.calls.append((query, terms, min_zscore))
+        return pool()
+
+
+def bare_worker(service):
+    worker = FleetWorker.__new__(FleetWorker)
+    worker.service = service
+    return worker
+
+
+class TestWorkerFrames:
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"op": "partial", "query": "q", "terms": 5},
+            {"op": "partial", "query": "q", "terms": "dow futures"},
+            {"op": "partial", "query": "q"},
+            {"op": "partial", "query": "q", "terms": [5]},
+            {"op": "partial", "query": "q", "terms": [[0]]},
+            {"op": "partial", "query": "q", "terms": [[0, "a", "b"]]},
+            {"op": "partial", "query": "q", "terms": [["0", "a"]]},
+            {"op": "partial", "query": "q", "terms": [[0.5, "a"]]},
+            {"op": "partial", "query": "q", "terms": [[True, "a"]]},
+            {"op": "partial", "query": "q", "terms": [[0, 7]]},
+            {"op": "partial", "query": "q", "terms": {"0": "a"}},
+            {"op": "partial", "query": 5, "terms": [[0, "a"]]},
+            {"op": "partial", "query": "q", "terms": [[0, "a"]], "min_zscore": "1"},
+            {"op": "partial", "query": "q", "terms": [[0, "a"]], "min_zscore": True},
+            {"op": "partial", "query": "q", "terms": [[0, "a"]], "min_zscore": [1]},
+            # json.loads accepts NaN and Infinity, so these can arrive
+            {"op": "partial", "query": "q", "terms": [[0, "a"]], "min_zscore": math.nan},
+            {"op": "partial", "query": "q", "terms": [[0, "a"]], "min_zscore": math.inf},
+            {"op": "partial", "query": "q", "terms": [[0, "a"]], "budget": "soon"},
+            {"op": "query", "query": "q", "min_zscore": "high"},
+            {"op": "query", "query": "q", "min_zscore": -math.inf},
+            {"op": "query", "query": "q", "min_zscore": {}},
+            {"op": "query", "query": None},
+            {"op": "query"},
+        ],
+    )
+    def test_hostile_frames_fail_typed(self, frame):
+        with pytest.raises(WorkerProtocolError):
+            FleetWorker._dispatch(bare_worker(UntouchableService()), frame)
+
+    @pytest.mark.parametrize("min_zscore", [None, 0, -2.5, 1.0])
+    def test_well_formed_legs_pass_through(self, min_zscore):
+        service = RecordingService()
+        frame = {"op": "partial", "query": "q", "terms": [[0, "a"], [3, "b"]]}
+        if min_zscore is not None:
+            frame["min_zscore"] = min_zscore
+        FleetWorker._dispatch(bare_worker(service), frame)
+        assert service.calls == [("q", [(0, "a"), (3, "b")], min_zscore)]
 
 
 # -- serving satellites riding along ------------------------------------------

@@ -88,7 +88,7 @@ class ScriptedReplica:
             total_seconds=self.delay,
         )
 
-    def score_partial(self, query, indexed_terms):
+    def score_partial(self, query, indexed_terms, min_zscore=None):
         self._maybe_fail()
         if any(term in self.fail_terms for _, term in indexed_terms):
             raise RuntimeError(f"{self.name} fails on a scripted term")
